@@ -1,7 +1,9 @@
 # Build/test entry points for the Cubie reproduction.
 #
-#   make test          - vet + docs-check + unit tests (tier-1 gate)
+#   make test          - vet + docs-check + race-step + unit tests (tier-1 gate)
 #   make race          - full test suite under the race detector
+#   make race-step     - targeted race pass over the packages that share
+#                        state across goroutines (runs inside make test)
 #   make bench         - kernel + harness benchmarks with memory stats,
 #                        archived as benchdata/BENCH_<date>.json (see
 #                        docs/PERFORMANCE.md); set BENCHTIME=100ms for a
@@ -9,8 +11,8 @@
 #   make bench-compare - diff two benchmark snapshots and fail on >10%
 #                        ns/op or allocs/op regressions (0 → >0 allocs
 #                        always fails):
-#                        make bench-compare OLD=benchdata/BENCH_pre_prestage.json \
-#                                           NEW=benchdata/BENCH_post_prestage.json
+#                        make bench-compare OLD=benchdata/BENCH_pre_staging.json \
+#                                           NEW=benchdata/BENCH_post_staging.json
 #                        Rolling-baseline mode diffs NEW against the best-of
 #                        envelope of the last K committed snapshots instead:
 #                        make bench-compare ROLLING=3 NEW=benchdata/BENCH_new.json
@@ -52,13 +54,13 @@ BENCHTIME ?= 1s
 # fail the gate (0.10 = 10%) on each axis. Setting ROLLING=K switches the
 # baseline from the OLD file to the best-of envelope of the last K committed
 # benchdata/BENCH_*.json snapshots.
-OLD ?= benchdata/BENCH_pre_prestage.json
-NEW ?= benchdata/BENCH_post_prestage.json
+OLD ?= benchdata/BENCH_pre_staging.json
+NEW ?= benchdata/BENCH_post_staging.json
 TOLERANCE ?= 0.10
 ALLOC_TOLERANCE ?= 0.10
 ROLLING ?=
 
-.PHONY: all build vet test race bench bench-all bench-compare bench-trend \
+.PHONY: all build vet test race race-step bench bench-all bench-compare bench-trend \
 	bench-trend-check docs-check serve-smoke dist-smoke bench-dist clean
 
 all: test
@@ -72,8 +74,24 @@ vet:
 docs-check:
 	$(GO) run ./cmd/docscheck
 
-test: vet docs-check bench-trend-check serve-smoke dist-smoke
+test: vet docs-check bench-trend-check serve-smoke dist-smoke race-step
 	$(GO) test ./...
+
+# Targeted race pass: the worker pool, the run cache and the daemon, the
+# harness's scheduler, singleflight and work-queue tests, the four kernels
+# whose case data (operands and once-built packed panels or slabs) is shared
+# by concurrent runs, and the suite-level test that races those first builds
+# from four goroutines (ten times: the detector only sees the interleavings a
+# run happens to produce). The harness's figure-render tests are left to make
+# race: they add ~5 minutes under the detector without adding concurrency.
+RACE_PKGS = ./internal/par ./internal/runcache ./internal/server \
+	./internal/kernels/gemm ./internal/kernels/gemv ./internal/kernels/spgemm \
+	./internal/kernels/spmv
+
+race-step:
+	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -run '^Test(WorkQueue|Execute|Run|Progress|Plan|CacheOff)' ./internal/harness
+	$(GO) test -race -count=10 -run '^TestConcurrentTCRunsBitIdentical$$' .
 
 # End-to-end daemon smoke: boot on a random port (the --addr-file
 # handshake), probe liveness, fetch one run-free figure, check the server's

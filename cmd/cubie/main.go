@@ -29,7 +29,6 @@
 //	selfbench  time this repo's own compute paths (§6 methodology)
 //	explain    resource-level breakdown of one workload/case/variant
 //	run        execute workloads through the instrumented harness path
-//	tune       calibrate the panel-geometry knobs on this host and persist them
 //	serve      long-lived characterization daemon with an HTTP/JSON API
 //	fetch      fetch a figure from a running daemon (serve's thin client)
 //	dist       coordinate a plan across forked work-stealing workers
@@ -59,7 +58,6 @@ import (
 	"repro/internal/runcache"
 	"repro/internal/server"
 	"repro/internal/trace"
-	"repro/internal/tune"
 )
 
 func main() {
@@ -87,18 +85,8 @@ func main() {
 	workers := fs.Int("workers", 0, "dist (or all): number of forked workers; 0 runs all in-process")
 	leaseTimeout := fs.Duration("lease-timeout", envLeaseTimeout(), "dist: how long a worker may hold a leased key before it is re-issued (default $CUBIE_LEASE_TIMEOUT)")
 	workerMetrics := fs.String("worker-metrics", "", "dist: directory for per-worker Prometheus metric snapshots (w1.prom, ...)")
-	tuneOut := fs.String("tune-out", "", "tune: output path for the calibrated geometry (default: the per-host cache file)")
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
-	}
-
-	// Install the persisted tuned panel geometry, if this host has one
-	// (CUBIE_TUNED=off skips, CUBIE_TUNED=<path> overrides the file; see
-	// docs/PERFORMANCE.md). Absence is the normal cold state; a corrupt file
-	// is reported but never blocks the command — the defaults still compute
-	// identical results.
-	if _, _, err := tune.LoadAndApply(); err != nil {
-		fmt.Fprintln(os.Stderr, "cubie: ignoring tuned geometry:", err)
 	}
 
 	// A worker defaults its remote cache tier to the coordinator's store,
@@ -254,8 +242,6 @@ func main() {
 		}
 	case "run":
 		cmdRun(h, fs.Args(), spec)
-	case "tune":
-		cmdTune(*tuneOut)
 	case "serve":
 		cmdServe(h, serveFlags{
 			addr:        *addr,
@@ -350,7 +336,6 @@ commands:
   coverage [--corpus N] | ablate | advise | whatif | sweep | trace | selfbench
   explain <workload> [case] [variant]
   run [<workload> [case] [variant]]
-  tune [--tune-out file]
   serve [--addr host:port] [--config file] [--addr-file file] [--max-inflight N]
   fetch [figure] [--addr host:port]
   dist [--plan name] [--workers N] [--figure name] [--lease-timeout d]
@@ -372,10 +357,7 @@ environment:
   CUBIE_REMOTE_CACHE=<url>  remote cache tier: a peer daemon's store,
                          consulted on local misses, published on puts
   CUBIE_COORDINATOR=<url>   default --coordinator for "cubie work"
-  CUBIE_LEASE_TIMEOUT=<dur> default --lease-timeout for "cubie dist"
-  CUBIE_TUNED=<path|off>    tuned panel-geometry file loaded at startup
-                         (default: the per-host file under the user cache
-                         dir, written by "cubie tune"; off skips loading)`)
+  CUBIE_LEASE_TIMEOUT=<dur> default --lease-timeout for "cubie dist"`)
 }
 
 // envLeaseTimeout reads CUBIE_LEASE_TIMEOUT (a Go duration like "2m") as

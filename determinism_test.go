@@ -3,15 +3,13 @@ package repro
 import (
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/kernels/spgemm"
 	"repro/internal/mmu"
-	"repro/internal/packcache"
 	"repro/internal/par"
-	"repro/internal/prestage"
-	"repro/internal/tune"
 	"repro/internal/workload"
 )
 
@@ -88,13 +86,15 @@ func TestSuiteDeterminism(t *testing.T) {
 // produce the bit-identical Output with the fused panel fast paths disabled
 // (the CUBIE_NO_PANEL reference route of tile-at-a-time MMAs). The fused
 // k-sweeps keep the exact ascending-k FMA chain per element, so this holds
-// bitwise, not just to within round-off.
+// bitwise, not just to within round-off. The fused side runs twice on one
+// suite: a cold pass that builds every case's packed operands and prestaged
+// slabs, and a warm pass that reads what the cold pass built.
 func TestSuitePanelDeterminism(t *testing.T) {
-	runAll := func(panels bool) map[string][]float64 {
+	runAll := func(s *core.Suite, panels bool) map[string][]float64 {
 		was := mmu.SetPanelEnabled(panels)
 		defer mmu.SetPanelEnabled(was)
 		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
+		for _, w := range s.Workloads() {
 			c := w.Representative()
 			for _, v := range w.Variants() {
 				res, err := w.Run(c, v)
@@ -107,138 +107,98 @@ func TestSuitePanelDeterminism(t *testing.T) {
 		return out
 	}
 
-	fused := runAll(true)
-	reference := runAll(false)
+	suite := core.NewSuite()
+	cold := runAll(suite, true)
+	warm := runAll(suite, true)
+	reference := runAll(core.NewSuite(), false)
 
-	if len(fused) != len(reference) {
-		t.Fatalf("run counts differ: %d vs %d", len(fused), len(reference))
+	for name, fused := range map[string]map[string][]float64{"cold": cold, "warm": warm} {
+		if len(fused) == 0 || len(fused) != len(reference) {
+			t.Fatalf("%s: run counts differ or empty: %d vs %d", name, len(fused), len(reference))
+		}
+		for key, f := range fused {
+			r := reference[key]
+			if len(f) != len(r) {
+				t.Errorf("%s %s: output lengths differ: %d vs %d", name, key, len(f), len(r))
+				continue
+			}
+			for i := range f {
+				if math.Float64bits(f[i]) != math.Float64bits(r[i]) {
+					t.Errorf("%s %s: output[%d] differs bitwise: %v vs %v", name, key, i, f[i], r[i])
+					break
+				}
+			}
+		}
 	}
-	for key, f := range fused {
-		r := reference[key]
-		if len(f) != len(r) {
-			t.Errorf("%s: output lengths differ: %d vs %d", key, len(f), len(r))
+}
+
+// TestConcurrentTCRunsBitIdentical runs the representative TC case of every
+// kernel that owns packed operands (GEMM, GEMV, SpGEMM, SpMV) from four
+// goroutines at once on a fresh suite, so the goroutines race each case's
+// first data build and its once-built operand panels. Every output must be
+// bit-identical to a serial run. make race-step runs it under the race
+// detector.
+func TestConcurrentTCRunsBitIdentical(t *testing.T) {
+	const goroutines = 4
+	owners := map[string]bool{"GEMM": true, "GEMV": true, "SpGEMM": true, "SpMV": true}
+	serial := map[string][]float64{}
+	for _, w := range core.NewSuite().Workloads() {
+		if !owners[w.Name()] {
 			continue
 		}
-		for i := range f {
-			if math.Float64bits(f[i]) != math.Float64bits(r[i]) {
-				t.Errorf("%s: output[%d] differs bitwise: %v vs %v", key, i, f[i], r[i])
+		res, err := w.Run(w.Representative(), workload.TC)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name(), err)
+		}
+		serial[w.Name()] = res.Output
+	}
+	if len(serial) != len(owners) {
+		t.Fatalf("found %d of the %d operand-owning workloads", len(serial), len(owners))
+	}
+
+	type outcome struct {
+		name string
+		out  []float64
+		err  error
+	}
+	results := make(chan outcome, goroutines*len(owners))
+	start := make(chan struct{}) // released at once so the first builds overlap
+	var wg sync.WaitGroup
+	for _, w := range core.NewSuite().Workloads() {
+		if !owners[w.Name()] {
+			continue
+		}
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(w workload.Workload) {
+				defer wg.Done()
+				<-start
+				res, err := w.Run(w.Representative(), workload.TC)
+				o := outcome{name: w.Name(), err: err}
+				if err == nil {
+					o.out = res.Output
+				}
+				results <- o
+			}(w)
+		}
+	}
+	close(start)
+	wg.Wait()
+	close(results)
+	for o := range results {
+		if o.err != nil {
+			t.Errorf("%s: %v", o.name, o.err)
+			continue
+		}
+		want := serial[o.name]
+		if len(o.out) != len(want) {
+			t.Errorf("%s: output length %d, want %d", o.name, len(o.out), len(want))
+			continue
+		}
+		for i := range want {
+			if math.Float64bits(o.out[i]) != math.Float64bits(want[i]) {
+				t.Errorf("%s: output[%d] differs bitwise: %v vs %v", o.name, i, o.out[i], want[i])
 				break
-			}
-		}
-	}
-}
-
-// TestSuitePackCacheDeterminism is the packed-panel cache's suite-wide
-// bit-identity contract: every workload's representative case, in every
-// variant, must produce the bit-identical Output whether operands come from
-// the hash-validated cache (both cold-miss and warm-hit runs), are staged
-// per call (CUBIE_NO_PACKCACHE), or execute on the tile-at-a-time reference
-// route with the cache on (CUBIE_NO_PANEL). The cache stores exactly the
-// bytes the per-call packers produce, so all routes agree bitwise.
-func TestSuitePackCacheDeterminism(t *testing.T) {
-	runAll := func(cache, panels bool) map[string][]float64 {
-		wasCache := packcache.SetEnabled(cache)
-		wasPanels := mmu.SetPanelEnabled(panels)
-		defer func() {
-			packcache.SetEnabled(wasCache)
-			mmu.SetPanelEnabled(wasPanels)
-		}()
-		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				if err != nil {
-					t.Fatalf("%s/%s (cache=%v panels=%v): %v", w.Name(), v, cache, panels, err)
-				}
-				out[w.Name()+"/"+string(v)] = res.Output
-			}
-		}
-		return out
-	}
-
-	packcache.Flush() // first cached pass starts cold: misses pack and insert
-	cold := runAll(true, true)
-	warm := runAll(true, true) // second pass is served by hash-validated hits
-	staged := runAll(false, true)
-	tileLoop := runAll(true, false)
-
-	for name, other := range map[string]map[string][]float64{
-		"warm-hit": warm, "staging (cache off)": staged, "panels-off": tileLoop,
-	} {
-		if len(cold) == 0 || len(cold) != len(other) {
-			t.Fatalf("%s: run counts differ or empty: %d vs %d", name, len(cold), len(other))
-		}
-		for key, c := range cold {
-			o := other[key]
-			if len(c) != len(o) {
-				t.Errorf("%s %s: output lengths differ: %d vs %d", name, key, len(c), len(o))
-				continue
-			}
-			for i := range c {
-				if math.Float64bits(c[i]) != math.Float64bits(o[i]) {
-					t.Errorf("%s %s: output[%d] differs bitwise: %v vs %v",
-						name, key, i, c[i], o[i])
-					break
-				}
-			}
-		}
-	}
-}
-
-// TestSuitePrestageDeterminism is the prestaged-operand contract: every
-// workload's representative case, in every variant, must produce the
-// bit-identical Output whether the hot loops consume the prestaged slabs
-// (cold-miss and warm-hit runs), restage operands per call
-// (CUBIE_NO_PRESTAGE=1), or run under a non-default tuned geometry (cubie
-// tune's batch/chunk/block knobs). Slabs store exactly the bytes the staged
-// path produces and the geometry knobs only re-partition loop iterations,
-// so every route agrees bitwise.
-func TestSuitePrestageDeterminism(t *testing.T) {
-	runAll := func(pre bool) map[string][]float64 {
-		was := prestage.SetEnabled(pre)
-		defer prestage.SetEnabled(was)
-		out := map[string][]float64{}
-		for _, w := range core.NewSuite().Workloads() {
-			c := w.Representative()
-			for _, v := range w.Variants() {
-				res, err := w.Run(c, v)
-				if err != nil {
-					t.Fatalf("%s/%s (prestage=%v): %v", w.Name(), v, pre, err)
-				}
-				out[w.Name()+"/"+string(v)] = res.Output
-			}
-		}
-		return out
-	}
-
-	packcache.Flush() // first prestaged pass packs every slab cold
-	cold := runAll(true)
-	warm := runAll(true) // second pass reuses hash-validated slabs
-	restaged := runAll(false)
-
-	prevGeom := tune.Apply(tune.Geometry{SpGEMMBatch: 4, DASPChunk: 8, DMMABlock: 4})
-	tuned := runAll(true)
-	tune.Apply(prevGeom)
-
-	for name, other := range map[string]map[string][]float64{
-		"warm-hit": warm, "restaged (prestage off)": restaged, "tuned geometry": tuned,
-	} {
-		if len(cold) == 0 || len(cold) != len(other) {
-			t.Fatalf("%s: run counts differ or empty: %d vs %d", name, len(cold), len(other))
-		}
-		for key, c := range cold {
-			o := other[key]
-			if len(c) != len(o) {
-				t.Errorf("%s %s: output lengths differ: %d vs %d", name, key, len(c), len(o))
-				continue
-			}
-			for i := range c {
-				if math.Float64bits(c[i]) != math.Float64bits(o[i]) {
-					t.Errorf("%s %s: output[%d] differs bitwise: %v vs %v",
-						name, key, i, c[i], o[i])
-					break
-				}
 			}
 		}
 	}
@@ -246,8 +206,8 @@ func TestSuitePrestageDeterminism(t *testing.T) {
 
 // TestSpGEMMAccumDeterminism is the SpGEMM accumulator-arena counterpart of
 // the panel contract: with the dense stamped directory forced on
-// (CUBIE_SPGEMM_DENSE=1 / spgemm.SetAccumMode(spgemm.AccumDense)) and forced
-// off (=0 / AccumHash), every SpGEMM variant must produce the bit-identical
+// (spgemm.SetAccumMode(spgemm.AccumDense)) and forced off (AccumHash),
+// every SpGEMM variant must produce the bit-identical
 // Output — the directory regime only routes tiles to arena slots, never
 // changes the addition order.
 func TestSpGEMMAccumDeterminism(t *testing.T) {

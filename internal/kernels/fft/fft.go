@@ -137,10 +137,10 @@ var fftPanelScratch = par.NewSizedScratch()
 // packed up front and reused by every row block (the per-tile version
 // re-packed each column panel m/8 times), and the A row-panel once per row
 // block. The four-step intermediates mutate between successive realMMA
-// calls, so this per-call hoisting — not the process-wide packcache, which
-// would hash-miss on every lookup — is the right reuse scope here. The
-// per-element FMA chain stays the ascending-k order of the old loop, so
-// results are bit-identical (CUBIE_NO_PANEL=1 verifies).
+// calls, so unlike the static operands GEMM and GEMV pack once per case,
+// these are packed per call. The per-element FMA chain stays the
+// ascending-k order of the old loop, so results are bit-identical
+// (CUBIE_NO_PANEL=1 verifies).
 func realMMA(c, a, b []float64, m, k, n int) {
 	av := &tensor.Matrix{Rows: m, Cols: k, Data: a}
 	bv := &tensor.Matrix{Rows: k, Cols: n, Data: b}

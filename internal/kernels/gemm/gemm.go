@@ -7,10 +7,10 @@ package gemm
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/lcg"
 	"repro/internal/mmu"
-	"repro/internal/packcache"
 	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tensor"
@@ -24,11 +24,25 @@ const computeBudget = 1 << 25
 // blockTile is the thread-block tile edge of the cudaSample TC kernel.
 const blockTile = 64
 
-// Workload is the GEMM kernel.
-type Workload struct{}
+// Workload is the GEMM kernel. It caches each computed case's operands and
+// their packed MMA panels across runs.
+type Workload struct {
+	mu    sync.Mutex
+	cache map[[3]int]*caseData
+}
+
+// caseData owns one case's operands: the LCG inputs and, packed once on
+// first MMA use, their whole A row-panel and B column-panel slabs. Nothing
+// writes the inputs after generation, so the packed panels never go stale.
+type caseData struct {
+	a, b     *tensor.Matrix
+	packOnce sync.Once
+	aPacked  []float64
+	bPacked  []float64
+}
 
 // New returns the GEMM workload.
-func New() *Workload { return &Workload{} }
+func New() *Workload { return &Workload{cache: map[[3]int]*caseData{}} }
 
 // Name implements workload.Workload.
 func (*Workload) Name() string { return "GEMM" }
@@ -72,14 +86,42 @@ func dims(c workload.Case) (m, n, k int, err error) {
 	return c.Dims[0], c.Dims[1], c.Dims[2], nil
 }
 
-// inputs deterministically generates the A and B operands for a case.
-func inputs(m, n, k int) (*tensor.Matrix, *tensor.Matrix) {
+// data returns the case's operands, deterministically generating them on
+// first use.
+func (w *Workload) data(m, n, k int) *caseData {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if d, ok := w.cache[[3]int{m, n, k}]; ok {
+		return d
+	}
 	g := lcg.New(int64(m)*1_000_003 + int64(k))
-	a := tensor.NewMatrix(m, k)
-	b := tensor.NewMatrix(k, n)
-	g.Fill(a.Data)
-	g.Fill(b.Data)
-	return a, b
+	d := &caseData{a: tensor.NewMatrix(m, k), b: tensor.NewMatrix(k, n)}
+	g.Fill(d.a.Data)
+	g.Fill(d.b.Data)
+	w.cache[[3]int{m, n, k}] = d
+	return d
+}
+
+// panels returns the packed operands, packing them on first use: ceil(m/8)
+// A row-panels, then ceil(n/8) B column-panels, each kTiles tiles deep and
+// back to back. Partial edge tiles are zero-filled by the packers. Safe for
+// concurrent use.
+func (d *caseData) panels() (aAll, bAll []float64) {
+	d.packOnce.Do(func() {
+		kTiles := (d.a.Cols + mmu.K - 1) / mmu.K
+		rowTiles := (d.a.Rows + mmu.M - 1) / mmu.M
+		colTiles := (d.b.Cols + mmu.N - 1) / mmu.N
+		stride := kTiles * mmu.M * mmu.K // == kTiles·K·N: one stride for both sides
+		d.aPacked = make([]float64, rowTiles*stride)
+		for ti := 0; ti < rowTiles; ti++ {
+			d.a.PackAPanel(d.aPacked[ti*stride:(ti+1)*stride], ti*mmu.M, 0, kTiles)
+		}
+		d.bPacked = make([]float64, colTiles*stride)
+		for tj := 0; tj < colTiles; tj++ {
+			d.b.PackBPanel(d.bPacked[tj*stride:(tj+1)*stride], 0, tj*mmu.N, kTiles)
+		}
+	})
+	return d.aPacked, d.bPacked
 }
 
 // Run implements workload.Workload.
@@ -105,16 +147,16 @@ func (w *Workload) Run(c workload.Case, v workload.Variant) (*workload.Result, e
 		return nil, fmt.Errorf("gemm: unknown variant %q", v)
 	}
 	if float64(m)*float64(n)*float64(k) <= computeBudget {
-		a, b := inputs(m, n, k)
+		d := w.data(m, n, k)
 		var out *tensor.Matrix
 		switch v {
 		case workload.TC, workload.CC, workload.CCE:
 			// CC replays the TC algorithm exactly (same FMA chains on the
 			// vector unit), so both variants share this compute path and
 			// produce bit-identical results (Table 6).
-			out = multiplyMMA(a, b)
+			out = d.multiplyMMA()
 		case workload.Baseline:
-			out = multiplyBaseline(a, b)
+			out = multiplyBaseline(d.a, d.b)
 		}
 		res.Output = out.Data
 	}
@@ -131,7 +173,8 @@ func (w *Workload) Reference(c workload.Case) ([]float64, error) {
 	if float64(m)*float64(n)*float64(k) > computeBudget {
 		return nil, fmt.Errorf("gemm: case %q exceeds the compute budget", c.Name)
 	}
-	a, b := inputs(m, n, k)
+	d := w.data(m, n, k)
+	a, b := d.a, d.b
 	out := tensor.NewMatrix(m, n)
 	par.ForTiles(m, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
@@ -157,31 +200,25 @@ var mmaAccScratch = par.NewScratch(2 * mmu.M * mmu.N)
 // buffering is what makes the MMA result differ in rounding from the
 // single-accumulator baseline (Table 6: GEMM TC error exceeds baseline).
 //
-// The k-sweep runs on the panel engine over packcache-staged operands: both
-// whole operands are packed once per dataset (and on repeat runs — sweep
-// repetitions, TC/CC variant pairs, bench iterations — served straight from
-// the hash-validated cache), where the per-call version re-packed the full
-// B operand once per row tile (m/8 redundant passes over B).
-// mmu.DMMAPanelPair executes the whole sweep with both accumulators
-// register-resident. Packed bytes and accumulation order per element are
-// unchanged, so the result stays bit-identical to the per-call staging path
-// and to the tile loop (CUBIE_NO_PACKCACHE=1 / CUBIE_NO_PANEL=1 verify).
+// The k-sweep runs on the panel engine over the case's packed operands:
+// both whole operands are packed once per case (see panels) and every later
+// run — sweep repetitions, TC/CC variant pairs, bench iterations — reads
+// them directly. mmu.DMMAPanelPair executes the whole sweep with both
+// accumulators register-resident. Packed bytes and accumulation order per
+// element are those of the tile loop, so the result is bit-identical to it
+// (CUBIE_NO_PANEL=1 verifies).
 //
 // The output-tile grid is executed on the par worker pool: each 8×8 output
 // tile's FMA chains run whole on one worker in the fixed k order, so the
 // result is bit-identical for every worker count (the tile-independence
 // property the paper's MMA semantics guarantee). Workers share the packed
 // slabs read-only.
-func multiplyMMA(a, b *tensor.Matrix) *tensor.Matrix {
-	m, k, n := a.Rows, a.Cols, b.Cols
+func (d *caseData) multiplyMMA() *tensor.Matrix {
+	m, k, n := d.a.Rows, d.a.Cols, d.b.Cols
 	out := tensor.NewMatrix(m, n)
 	rowTiles := (m + mmu.M - 1) / mmu.M
 	kTiles := (k + mmu.K - 1) / mmu.K
-	aLease := packcache.PackedA("gemm:A", a, kTiles)
-	bLease := packcache.PackedB("gemm:B", b, kTiles)
-	defer aLease.Release()
-	defer bLease.Release()
-	aAll, bAll := aLease.Data, bLease.Data
+	aAll, bAll := d.panels()
 	aStride := kTiles * mmu.M * mmu.K
 	bStride := kTiles * mmu.K * mmu.N
 	par.ForTiles(rowTiles, func(lo, hi int) {

@@ -185,7 +185,7 @@ func TestMultiplyMMARectangular(t *testing.T) {
 		bm := tensor.NewMatrix(k, n)
 		g.Fill(a.Data)
 		g.Fill(bm.Data)
-		got := multiplyMMA(a, bm)
+		got := (&caseData{a: a, b: bm}).multiplyMMA()
 		if got.Rows != m || got.Cols != n {
 			t.Fatalf("%v: output %dx%d", shape, got.Rows, got.Cols)
 		}

@@ -160,9 +160,10 @@ func TestGEMVLinearity(t *testing.T) {
 	for i := range sum {
 		sum[i] = x[i] + y[i]
 	}
-	ax := computeMMA(a, x)
-	ay := computeMMA(a, y)
-	asum := computeMMA(a, sum)
+	d := &caseData{a: a}
+	ax := d.computeMMA(x)
+	ay := d.computeMMA(y)
+	asum := d.computeMMA(sum)
 	for i := 0; i < m; i++ {
 		if d := math.Abs(asum[i] - (ax[i] + ay[i])); d > 1e-13 {
 			t.Fatalf("linearity violated at %d: %v", i, d)
@@ -174,7 +175,7 @@ func TestGEMVZeroVector(t *testing.T) {
 	m, n := 64, 16
 	a := tensor.NewMatrix(m, n)
 	lcg.New(7).Fill(a.Data)
-	y := computeMMA(a, make([]float64, n))
+	y := (&caseData{a: a}).computeMMA(make([]float64, n))
 	for i, v := range y {
 		if v != 0 {
 			t.Fatalf("A·0 nonzero at %d: %v", i, v)

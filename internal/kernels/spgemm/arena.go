@@ -26,7 +26,6 @@
 package spgemm
 
 import (
-	"os"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -35,14 +34,6 @@ import (
 	"repro/internal/mmu"
 	"repro/internal/sparse"
 )
-
-// DenseEnv is the environment variable that forces the accumulator regime:
-// "1" uses the dense stamped directory for every block-row, "0" the hash
-// table for every block-row. Unset (or any other value) keeps the adaptive
-// fill-ratio switch. Outputs are bit-identical in all three modes — the
-// knob exists so the equivalence stays testable end to end, mirroring
-// CUBIE_NO_PANEL.
-const DenseEnv = "CUBIE_SPGEMM_DENSE"
 
 // AccumMode selects the numeric-phase accumulator regime.
 type AccumMode int32
@@ -58,18 +49,9 @@ const (
 
 var accumMode atomic.Int32
 
-func init() {
-	switch os.Getenv(DenseEnv) {
-	case "1":
-		accumMode.Store(int32(AccumDense))
-	case "0":
-		accumMode.Store(int32(AccumHash))
-	}
-}
-
 // SetAccumMode sets the accumulator regime and returns the previous one.
-// Tests use it to pin the dense and hash paths bit-identical without
-// re-execing the process.
+// Outputs are bit-identical in all three modes; tests use it to pin the
+// dense and hash paths against each other.
 func SetAccumMode(m AccumMode) (prev AccumMode) {
 	return AccumMode(accumMode.Swap(int32(m)))
 }
@@ -236,26 +218,12 @@ func (a *blockAccum) flush(d *caseData, bi int, out []float64) {
 }
 
 // numericScratch is the per-worker state of the numeric sweeps: the
-// accumulator arena, the pending-product queue, and the batched MMA staging
-// panels, checked out once per tile range.
+// accumulator arena, the product queue, and the C panel of one DMMABatch
+// call, checked out once per tile range.
 type numericScratch struct {
-	acc   blockAccum
-	queue []pendingProduct
-	// Staging for one DMMABatch call: batch consecutive A, B, C tiles,
-	// grow-once sized by ensurePanels for the active batch geometry (the
-	// batch was a compile-time constant before `cubie tune` made it a knob).
-	panels []float64
-}
-
-// ensurePanels grow-once sizes the staging panels for a batch of n MMAs.
-// Pooled scratches sized for an older, larger batch keep their capacity.
-func (ns *numericScratch) ensurePanels(n int) {
-	need := n * (mmu.M*mmu.K + mmu.K*mmu.N + mmu.M*mmu.N)
-	if cap(ns.panels) < need {
-		ns.panels = make([]float64, ceilPow2(need))
-		ns.acc.grows++
-	}
-	ns.panels = ns.panels[:cap(ns.panels)]
+	acc    blockAccum
+	queue  []int32 // destination block column of each queued product
+	cPanel [batch * mmu.M * mmu.N]float64
 }
 
 var numericPool sync.Pool
@@ -280,7 +248,7 @@ func putNumericScratch(ns *numericScratch) {
 // growQueue grow-once sizes the product queue for a row of n products.
 func (ns *numericScratch) growQueue(n int) {
 	if cap(ns.queue) < n {
-		ns.queue = make([]pendingProduct, 0, ceilPow2(n))
+		ns.queue = make([]int32, 0, ceilPow2(n))
 		ns.acc.grows++
 	}
 	ns.queue = ns.queue[:0]

@@ -4,83 +4,90 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/packcache"
-	"repro/internal/prestage"
+	"repro/internal/metrics"
+	"repro/internal/mmu"
+	"repro/internal/workload"
 )
 
-// TestComputeMMAPrestageBitIdentical pins the tentpole contract on the
-// SpGEMM side: executing MMAs straight off the prestaged pair slab is
-// bitwise indistinguishable from the per-chunk copy staging, across the
-// prestage × packcache knob grid (the slab rides the packcache, so both
-// routes through it must match too).
+// TestComputeMMAPrestageBitIdentical pins the slab route against the
+// reference oracle: executing MMAs straight off the prestaged pair slab
+// through the fused DMMABatch is bitwise indistinguishable from the
+// CUBIE_NO_PANEL tile-at-a-time route over the same operands.
 func TestComputeMMAPrestageBitIdentical(t *testing.T) {
 	w := New()
 	d, err := w.data(w.Representative())
 	if err != nil {
 		t.Fatal(err)
 	}
-	prevPre := prestage.SetEnabled(false)
+	was := mmu.SetPanelEnabled(false)
 	want := computeMMA(d)
-	prestage.SetEnabled(prevPre)
-	for _, cache := range []bool{true, false} {
-		prevCache := packcache.SetEnabled(cache)
-		packcache.Flush()
-		prestage.SetEnabled(true)
-		got := computeMMA(d)
-		prestage.SetEnabled(prevPre)
-		packcache.SetEnabled(prevCache)
-		for i := range want {
-			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("cache=%v: differs bitwise at %d: %v vs %v",
-					cache, i, got[i], want[i])
-			}
+	mmu.SetPanelEnabled(was)
+	got := computeMMA(d)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("differs bitwise at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestComputeMMABatchSizesBitIdentical pins SetBatch as performance-only:
-// the batch merely chunks the per-row pair queue, never reordering the
-// queue-order accumulation, so every size matches the default bitwise —
-// with and without the prestaged slab.
-func TestComputeMMABatchSizesBitIdentical(t *testing.T) {
+// TestPairSlabBuiltOnce pins slab ownership: the case builds its pair slab
+// on the first MMA run and every later run reads it, so two TC runs of one
+// case raise cubie_prestage_slabs_total by exactly one.
+func TestPairSlabBuiltOnce(t *testing.T) {
 	w := New()
-	d, err := w.data(w.Representative())
+	c := w.Representative()
+	before := slabsBuilt()
+	for i := 0; i < 2; i++ {
+		if _, err := w.Run(c, workload.TC); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := slabsBuilt() - before; got != 1 {
+		t.Fatalf("two TC runs built %d pair slabs, want 1", got)
+	}
+}
+
+// TestRunLeavesOperandsUnchanged pins the ownership contract the pair slab
+// relies on: the case's mBSR blocks are built once, and no variant's Run
+// (nor Reference) writes them, so the slab built on the first MMA run stays
+// valid for every later one.
+func TestRunLeavesOperandsUnchanged(t *testing.T) {
+	w := New()
+	c := w.Representative()
+	d, err := w.data(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := computeMMA(d)
-	for _, pre := range []bool{true, false} {
-		prevPre := prestage.SetEnabled(pre)
-		for _, batch := range []int{1, 2, 7, 16, 64} {
-			prevBatch := SetBatch(batch)
-			got := computeMMA(d)
-			SetBatch(prevBatch)
-			for i := range base {
-				if math.Float64bits(got[i]) != math.Float64bits(base[i]) {
-					t.Fatalf("prestage=%v batch=%d: differs bitwise at %d: %v vs %v",
-						pre, batch, i, got[i], base[i])
-				}
+	checksum := func() uint64 {
+		h := uint64(14695981039346656037)
+		for i := range d.bsr.Blocks {
+			for _, x := range d.bsr.Blocks[i].Vals {
+				h = (h ^ math.Float64bits(x)) * 1099511628211
 			}
 		}
-		prestage.SetEnabled(prevPre)
+		return h
+	}
+	before := checksum()
+	for _, v := range w.Variants() {
+		if _, err := w.Run(c, v); err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+	}
+	if _, err := w.Reference(c); err != nil {
+		t.Fatal(err)
+	}
+	if d2, _ := w.data(c); d2 != d {
+		t.Fatal("case data rebuilt between runs")
+	}
+	if checksum() != before {
+		t.Fatal("a run modified the case's mBSR block values")
 	}
 }
 
-// TestSetBatch checks the knob round-trips, reports the previous value, and
-// clamps below 1.
-func TestSetBatch(t *testing.T) {
-	orig := Batch()
-	defer SetBatch(orig)
-	if prev := SetBatch(32); prev != orig {
-		t.Fatalf("SetBatch returned %d, want %d", prev, orig)
-	}
-	if Batch() != 32 {
-		t.Fatal("batch not applied")
-	}
-	SetBatch(0)
-	if Batch() != 1 {
-		t.Fatalf("batch clamped to %d, want 1", Batch())
-	}
+// slabsBuilt reads cubie_prestage_slabs_total (get-or-create returns the
+// counter the slab builders increment).
+func slabsBuilt() uint64 {
+	return metrics.NewCounter("cubie_prestage_slabs_total", "").Value()
 }
 
 // TestPairOffMatchesQueue pins the pair-slab index table against the actual
@@ -106,9 +113,9 @@ func TestPairOffMatchesQueue(t *testing.T) {
 }
 
 // TestPairSlabMatchesStaging cross-checks the prestaged slab bytes against
-// the per-call staging loop's packing rules for a few MMAs: A halves are the
-// straight 16-float flatten of the A block, B halves the 4×4 block packed at
-// stride 8 with a half-column offset.
+// the paired-MMA operand layout for a few MMAs: A halves are the straight
+// 16-float flatten of the A block, B halves the 4×4 block packed at stride 8
+// with a half-column offset.
 func TestPairSlabMatchesStaging(t *testing.T) {
 	w := New()
 	d, err := w.data(w.Representative())
@@ -116,10 +123,7 @@ func TestPairSlabMatchesStaging(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := d.bsr
-	lease := d.pairSlab()
-	defer lease.Release()
-	total := int(d.pairOff[b.BlockRows])
-	slabA, slabB := lease.Data[:total*pairTile], lease.Data[total*pairTile:]
+	slabA, slabB := d.pairSlab()
 	checked := 0
 	for bi := 0; bi < b.BlockRows && checked < 64; bi++ {
 		mma := int(d.pairOff[bi])

@@ -10,12 +10,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/mmu"
-	"repro/internal/packcache"
 	"repro/internal/par"
-	"repro/internal/prestage"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
@@ -32,7 +29,6 @@ type Workload struct {
 }
 
 type caseData struct {
-	name string
 	mat  *sparse.CSR
 	bsr  *sparse.MBSR
 	stat symbolicStats
@@ -40,6 +36,9 @@ type caseData struct {
 	// before bi (length BlockRows+1): block row bi's prestaged operand tiles
 	// start at MMA index pairOff[bi] in the pair slab built by pairSlab.
 	pairOff []int32
+
+	slabOnce sync.Once
+	slab     []float64 // prestaged pair slab: all A tiles, then all B tiles
 }
 
 // symbolicStats are the structure-only counts behind the profiles.
@@ -92,7 +91,7 @@ func (w *Workload) data(c workload.Case) (*caseData, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &caseData{name: c.Dataset, mat: m, bsr: sparse.ToMBSR(m)}
+	d := &caseData{mat: m, bsr: sparse.ToMBSR(m)}
 	d.stat = symbolic(d)
 	b := d.bsr
 	d.pairOff = make([]int32, b.BlockRows+1)
@@ -293,36 +292,10 @@ func scalarRowUpperBound(m *sparse.CSR, i int) int {
 	return ub
 }
 
-// pendingProduct is one queued 4×4×4 block product.
-type pendingProduct struct {
-	a, b *sparse.MBSRBlock
-	cRow int // 0 or 1: which stacked A half
-	jDst int32
-}
-
-// spgemmBatchDefault is the default number of paired-product MMAs staged per
-// DMMABatch call: enough to amortize the batch's single metrics update
-// without growing the per-worker staging buffer past L1. `cubie tune` can
-// override it through SetBatch for hosts where a different chunk wins.
-const spgemmBatchDefault = 16
-
-var batchSize atomic.Int32
-
-func init() { batchSize.Store(spgemmBatchDefault) }
-
-// SetBatch sets the paired-product MMA batch size (clamped to ≥ 1) and
-// returns the previous value. The batch only chunks the per-row queue — the
-// queue-order accumulation sequence is unchanged, so every batch size yields
-// bit-identical output (pinned by TestComputeMMABatchSizesBitIdentical).
-func SetBatch(n int) (prev int) {
-	if n < 1 {
-		n = 1
-	}
-	return int(batchSize.Swap(int32(n)))
-}
-
-// Batch reports the active paired-product MMA batch size.
-func Batch() int { return int(batchSize.Load()) }
+// batch is the number of paired-product MMAs executed per DMMABatch call:
+// enough to amortize the batch's single metrics update while the C panel
+// stays L1-resident. It only chunks the per-row queue, never reorders it.
+const batch = 16
 
 // pairTile is the per-MMA float count of each prestaged operand side: the
 // stacked A halves form one M×K tile, the side-by-side B halves one K×N tile,
@@ -340,54 +313,46 @@ func rowProducts(b *sparse.MBSR, bi int) int {
 	return n
 }
 
-// pairSlab builds (or fetches from packcache) the prestaged operand slab of
-// the whole paired-product sweep: for every MMA of every block row, the
-// stacked A halves and the transposed side-by-side B halves, exactly the
-// bytes the per-call chunk staging packs from the mBSR block values. The slab
-// is split in two contiguous runs — MMA i's A tile at A-half offset
-// i·pairTile, its B tile at the same offset in the B half — so the hot loop
-// feeds mmu.DMMABatch straight slab slices with no staging copies at all.
-// The content hash covers the mBSR structure (RowPtr, block columns) and
-// every block value, so a mutated dataset is repacked, never served stale.
-func (d *caseData) pairSlab() packcache.Lease {
+// pairSlab returns the prestaged operand slab of the whole paired-product
+// sweep, built once per dataset: for every MMA of every block row, the
+// stacked A halves and the side-by-side B halves packed from the mBSR block
+// values. The slab is split in two contiguous runs — MMA i's A tile at
+// offset i·pairTile of slabA, its B tile at the same offset of slabB — so
+// the hot loop feeds mmu.DMMABatch straight slab slices with no staging
+// copies at all. The case owns the slab and nothing writes the blocks after
+// ToMBSR, so it never goes stale. Safe for concurrent use.
+func (d *caseData) pairSlab() (slabA, slabB []float64) {
+	d.slabOnce.Do(d.buildPairSlab)
+	half := int(d.pairOff[d.bsr.BlockRows]) * pairTile
+	return d.slab[:half], d.slab[half:]
+}
+
+func (d *caseData) buildPairSlab() {
 	b := d.bsr
 	total := int(d.pairOff[b.BlockRows])
-	h := packcache.HashOffset
-	for _, p := range b.RowPtr {
-		h = packcache.HashMix(h, uint64(uint32(p)))
-	}
-	for i := range b.Blocks {
-		blk := &b.Blocks[i]
-		h = packcache.HashMix(h, uint64(uint32(blk.BlockCol)))
-		for _, v := range blk.Vals {
-			h = packcache.HashMix(h, math.Float64bits(v))
-		}
-	}
-	size := total * 2 * pairTile
-	return packcache.PackedSlab(d.name, 'P', b.Rows, b.Cols, total, h, size, func(dst []float64) {
-		clear(dst) // pooled slabs are dirty; odd final pairs keep a zero half
-		slabA, slabB := dst[:total*pairTile], dst[total*pairTile:]
-		for bi := 0; bi < b.BlockRows; bi++ {
-			mma := int(d.pairOff[bi])
-			idx := 0
-			for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-				ab := &b.Blocks[p]
-				k := int(ab.BlockCol)
-				for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-					bb := &b.Blocks[q]
-					off := (mma + idx/2) * pairTile
-					half := idx % 2
-					// A halves stack vertically: a straight 16-float move.
-					*(*[16]float64)(slabA[off+half*16:]) = ab.Vals
-					// B halves sit side by side: four 4-wide strided moves.
-					tensor.Pack4Stride(slabB[off+half*4:], mmu.N,
-						bb.Vals[:], sparse.BlockSize, sparse.BlockSize)
-					idx++
-				}
+	// A fresh slab is zeroed, so an odd final pair keeps a zero second half.
+	d.slab = make([]float64, total*2*pairTile)
+	slabA, slabB := d.slab[:total*pairTile], d.slab[total*pairTile:]
+	for bi := 0; bi < b.BlockRows; bi++ {
+		mma := int(d.pairOff[bi])
+		idx := 0
+		for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
+			ab := &b.Blocks[p]
+			k := int(ab.BlockCol)
+			for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
+				bb := &b.Blocks[q]
+				off := (mma + idx/2) * pairTile
+				half := idx % 2
+				// A halves stack vertically: a straight 16-float move.
+				*(*[16]float64)(slabA[off+half*16:]) = ab.Vals
+				// B halves sit side by side: four 4-wide strided moves.
+				tensor.Pack4Stride(slabB[off+half*4:], mmu.N,
+					bb.Vals[:], sparse.BlockSize, sparse.BlockSize)
+				idx++
 			}
 		}
-		prestage.CountSlab(size * 8)
-	})
+	}
+	sparse.CountSlab(len(d.slab) * 8)
 }
 
 // computeMMA executes the paired-block SpGEMM on the MMA semantics: two
@@ -397,35 +362,20 @@ func (d *caseData) pairSlab() packcache.Lease {
 // Block rows own disjoint output rows (blockAccum.flush writes rows
 // [4·bi, 4·bi+4) only), so the block-row sweep runs on the par worker pool
 // with the per-row accumulation order unchanged. All per-row state — the
-// product queue, the tile arena, the MMA staging panels — lives in one
-// pooled numericScratch per tile range, so the steady-state sweep performs
-// no heap allocation (see arena.go and the AllocsPerRun contracts).
-//
-// With prestaging active (the default) the static operand tiles come out of
-// the shared pair slab built by pairSlab: the hot loop clears only the C
-// panel and calls DMMABatch on slab slices directly. CUBIE_NO_PRESTAGE=1
-// falls back to the per-chunk copy staging, which packs the identical bytes,
-// so both modes are bit-identical (determinism_test.go pins this).
+// product queue, the tile arena, the C panel — lives in one pooled
+// numericScratch per tile range, so the steady-state sweep performs no heap
+// allocation (see arena.go and the AllocsPerRun contracts). The static
+// operand tiles come straight out of the case's pair slab; the hot loop
+// clears only the C panel.
 func computeMMA(d *caseData) []float64 {
 	b := d.bsr
 	mode := CurrentAccumMode()
-	batch := Batch()
 	out := make([]float64, d.mat.Rows)
-	pre := prestage.Enabled()
-	var lease packcache.Lease
-	var slabA, slabB []float64
-	if pre {
-		lease = d.pairSlab()
-		half := int(d.pairOff[b.BlockRows]) * pairTile
-		slabA, slabB = lease.Data[:half], lease.Data[half:]
-	}
+	slabA, slabB := d.pairSlab()
 	par.ForTiles(b.BlockRows, func(lo, hi int) {
 		ns := getNumericScratch()
 		defer putNumericScratch(ns)
-		ns.ensurePanels(batch)
-		aPanel := ns.panels[0 : batch*mmu.M*mmu.K]
-		bPanel := ns.panels[batch*mmu.M*mmu.K : batch*(mmu.M*mmu.K+mmu.K*mmu.N)]
-		cPanel := ns.panels[batch*(mmu.M*mmu.K+mmu.K*mmu.N) : batch*(mmu.M*mmu.K+mmu.K*mmu.N+mmu.M*mmu.N)]
+		cPanel := ns.cPanel[:]
 		denseRows, hashRows := uint64(0), uint64(0)
 		for bi := lo; bi < hi; bi++ {
 			products := rowProducts(b, bi)
@@ -436,52 +386,33 @@ func computeMMA(d *caseData) []float64 {
 			} else {
 				hashRows++
 			}
+			// The queue holds each product's destination block column in
+			// slab order.
 			queue := ns.queue
 			acc := &ns.acc
 			for p := b.RowPtr[bi]; p < b.RowPtr[bi+1]; p++ {
-				ab := &b.Blocks[p]
-				k := int(ab.BlockCol)
+				k := int(b.Blocks[p].BlockCol)
 				for q := b.RowPtr[k]; q < b.RowPtr[k+1]; q++ {
-					bb := &b.Blocks[q]
-					queue = append(queue, pendingProduct{a: ab, b: bb, jDst: bb.BlockCol})
+					queue = append(queue, b.Blocks[q].BlockCol)
 				}
 			}
-			// The pair queue runs in chunks of batch independent MMAs: source
-			// the chunk's operands (from the prestaged slab, or by staging the
-			// chunk when prestaging is off), execute it with one DMMABatch call
-			// (one metrics update, bounds-check-free inner loops), then scatter
-			// the diagonal quadrants in the original queue order so every block
+			// The pair queue runs in chunks of batch independent MMAs:
+			// execute the chunk off the slab with one DMMABatch call (one
+			// metrics update, bounds-check-free inner loops), then scatter the
+			// diagonal quadrants in the original queue order so every block
 			// accumulator sees the exact tile-at-a-time addition sequence.
 			mmaBase := int(d.pairOff[bi])
 			for s := 0; s < len(queue); s += 2 * batch {
 				n := (min(s+2*batch, len(queue)) - s + 1) / 2
 				clear(cPanel[:n*mmu.M*mmu.N])
-				if pre {
-					off := (mmaBase + s/2) * pairTile
-					mmu.DMMABatch(cPanel[:n*mmu.M*mmu.N], slabA[off:], slabB[off:], n)
-				} else {
-					clear(aPanel[:n*mmu.M*mmu.K])
-					clear(bPanel[:n*mmu.K*mmu.N])
-					for i := 0; i < n; i++ {
-						base := s + 2*i
-						pair := queue[base:min(base+2, len(queue))]
-						aT := aPanel[i*mmu.M*mmu.K:]
-						bT := bPanel[i*mmu.K*mmu.N:]
-						for h, pr := range pair {
-							for r := 0; r < sparse.BlockSize; r++ {
-								copy(aT[(h*4+r)*mmu.K:(h*4+r)*mmu.K+4], pr.a.Vals[r*4:r*4+4])
-								copy(bT[r*mmu.N+h*4:r*mmu.N+h*4+4], pr.b.Vals[r*4:r*4+4])
-							}
-						}
-					}
-					mmu.DMMABatch(cPanel[:n*mmu.M*mmu.N], aPanel, bPanel, n)
-				}
+				off := (mmaBase + s/2) * pairTile
+				mmu.DMMABatch(cPanel[:n*mmu.M*mmu.N], slabA[off:], slabB[off:], n)
 				for i := 0; i < n; i++ {
 					base := s + 2*i
 					pair := queue[base:min(base+2, len(queue))]
 					cT := cPanel[i*mmu.M*mmu.N:]
-					for h, pr := range pair {
-						t := acc.tile(pr.jDst)
+					for h, jDst := range pair {
+						t := acc.tile(jDst)
 						for r := 0; r < 4; r++ {
 							for cc := 0; cc < 4; cc++ {
 								t[r*4+cc] += cT[(h*4+r)*mmu.N+h*4+cc]
@@ -496,22 +427,7 @@ func computeMMA(d *caseData) []float64 {
 		metDenseRows.Add(denseRows)
 		metHashRows.Add(hashRows)
 	})
-	if pre {
-		lease.Release()
-	}
 	return out
-}
-
-// CalibrationRunner returns a closure executing one numeric-phase MMA sweep
-// over the named dataset — the unit of work `cubie tune` times when sweeping
-// SetBatch candidates. The data (and prestaged slab) are built before the
-// closure is returned, so repeated invocations measure only the sweep.
-func (w *Workload) CalibrationRunner(dataset string) (func(), error) {
-	d, err := w.data(workload.Case{Name: dataset, Dataset: dataset})
-	if err != nil {
-		return nil, err
-	}
-	return func() { computeMMA(d) }, nil
 }
 
 // computeEssential is the CC-E path: the same mBSR traversal but each block

@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/prestage"
+	"repro/internal/mmu"
 	"repro/internal/sparse"
 )
 
@@ -51,97 +51,43 @@ func bitEqual(t *testing.T, label string, got, want []float64) {
 	}
 }
 
-// TestApplyDASPPrestageBitIdentical pins the tentpole contract: consuming
-// the prestaged APanels/BCols slabs is bitwise indistinguishable from the
-// CUBIE_NO_PRESTAGE per-call staging route, on a matrix covering all three
-// row categories.
+// TestApplyDASPPrestageBitIdentical pins the prestaged route against the
+// reference oracle: consuming the prestaged APanels/BCols slabs through the
+// fused panel sweep is bitwise indistinguishable from the CUBIE_NO_PANEL
+// tile-at-a-time route over the same slabs, on a matrix covering all three
+// row categories — and both are the true product.
 func TestApplyDASPPrestageBitIdentical(t *testing.T) {
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
-	on := ApplyDASP(dasp, x)
-	prev := prestage.SetEnabled(false)
-	off := ApplyDASP(dasp, x)
-	prestage.SetEnabled(prev)
-	bitEqual(t, "prestage on vs off", on, off)
+	fused := ApplyDASP(dasp, x)
+	was := mmu.SetPanelEnabled(false)
+	tileLoop := ApplyDASP(dasp, x)
+	mmu.SetPanelEnabled(was)
+	bitEqual(t, "fused panels vs tile loop", fused, tileLoop)
 
-	// Both must also be the true product, not merely mutually consistent.
 	for i := 0; i < m.Rows; i++ {
 		var acc float64
 		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
 			acc += m.Vals[k] * x[m.ColIdx[k]]
 		}
-		if d := math.Abs(on[i] - acc); d > 1e-9 {
-			t.Fatalf("row %d: prestaged result %v vs scalar %v", i, on[i], acc)
+		if d := math.Abs(fused[i] - acc); d > 1e-9 {
+			t.Fatalf("row %d: prestaged result %v vs scalar %v", i, fused[i], acc)
 		}
-	}
-}
-
-// TestApplyDASPChunkSizesBitIdentical pins SetSegChunk as performance-only:
-// every chunk size runs the same per-element ascending-k FMA chain (the C
-// tile accumulates across chunks), so outputs match the unchunked sweep
-// bitwise.
-func TestApplyDASPChunkSizesBitIdentical(t *testing.T) {
-	m, x := mixedCSR(t)
-	dasp := sparse.ToDASP(m)
-	base := ApplyDASP(dasp, x)
-	for _, chunk := range []int{1, 2, 3, 5, 8, 64} {
-		prev := SetSegChunk(chunk)
-		got := ApplyDASP(dasp, x)
-		SetSegChunk(prev)
-		bitEqual(t, "chunked sweep", got, base)
-	}
-}
-
-// TestSetSegChunk checks the knob round-trips, reports the previous value,
-// and clamps negatives to 0.
-func TestSetSegChunk(t *testing.T) {
-	orig := SegChunk()
-	defer SetSegChunk(orig)
-	if prev := SetSegChunk(7); prev != orig {
-		t.Fatalf("SetSegChunk returned %d, want %d", prev, orig)
-	}
-	if SegChunk() != 7 {
-		t.Fatal("chunk not applied")
-	}
-	SetSegChunk(-3)
-	if SegChunk() != 0 {
-		t.Fatalf("negative chunk clamped to %d, want 0", SegChunk())
 	}
 }
 
 // applyAllocsBudget bounds a warm ApplyDASP call: the output vector plus
-// ForTiles bookkeeping; the staging scratch must come from the pools.
+// ForTiles bookkeeping; the gather scratch must come from the pools.
 const applyAllocsBudget = 64
 
 // TestApplyDASPWarmAllocs is the steady-state allocation contract of the
-// prestaged apply: once the pools are warm, no per-block staging allocation
-// remains in either mode.
+// prestaged apply: once the slabs are built and the pools are warm, no
+// per-block staging allocation remains.
 func TestApplyDASPWarmAllocs(t *testing.T) {
 	m, x := mixedCSR(t)
 	dasp := sparse.ToDASP(m)
-	for _, pre := range []bool{true, false} {
-		prev := prestage.SetEnabled(pre)
-		ApplyDASP(dasp, x) // warm the pools
-		n := testing.AllocsPerRun(5, func() { ApplyDASP(dasp, x) })
-		prestage.SetEnabled(prev)
-		if n > applyAllocsBudget {
-			t.Errorf("prestage=%v: %v allocs/run, want ≤ %d", pre, n, applyAllocsBudget)
-		}
-	}
-}
-
-// TestPrestageKnob checks prestage.SetEnabled round-trips and reports the
-// previous state, mirroring the CUBIE_NO_PANEL knob idiom.
-func TestPrestageKnob(t *testing.T) {
-	orig := prestage.Enabled()
-	defer prestage.SetEnabled(orig)
-	if was := prestage.SetEnabled(false); was != orig {
-		t.Fatalf("SetEnabled returned %v, want %v", was, orig)
-	}
-	if prestage.Enabled() {
-		t.Fatal("prestage still enabled")
-	}
-	if was := prestage.SetEnabled(true); was != false {
-		t.Fatal("SetEnabled did not report the disabled state")
+	ApplyDASP(dasp, x) // build the slabs, warm the pools
+	if n := testing.AllocsPerRun(5, func() { ApplyDASP(dasp, x) }); n > applyAllocsBudget {
+		t.Errorf("%v allocs/run, want ≤ %d", n, applyAllocsBudget)
 	}
 }

@@ -8,12 +8,10 @@ package spmv
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/lcg"
 	"repro/internal/mmu"
 	"repro/internal/par"
-	"repro/internal/prestage"
 	"repro/internal/sim"
 	"repro/internal/sparse"
 	"repro/internal/tensor"
@@ -139,46 +137,12 @@ func computeDASPMMA(d *caseData) []float64 {
 	return ApplyDASP(d.dasp, d.x)
 }
 
-// CalibrationRunner returns a closure executing one DASP apply over the named
-// dataset — the unit of work `cubie tune` times when sweeping SetSegChunk
-// candidates. The layout (and prestaged slabs) are built before the closure
-// is returned, so repeated invocations measure only the apply.
-func (w *Workload) CalibrationRunner(dataset string) (func(), error) {
-	d, err := w.data(workload.Case{Name: dataset, Dataset: dataset})
-	if err != nil {
-		return nil, err
-	}
-	d.dasp.Prestage()
-	return func() { ApplyDASP(d.dasp, d.x) }, nil
-}
-
 // daspScratch pools the per-block C accumulator of ApplyDASP.
 var daspScratch = par.NewScratch(mmu.M * mmu.N)
 
-// daspPanelScratch pools the packed operand panels: with the prestaged
-// slabs active only the gathered B panel, on the CUBIE_NO_PRESTAGE fallback
-// both A and B, sized to the layout's longest block (DASP.MaxSegs).
+// daspPanelScratch pools the gathered B panel, sized to the layout's longest
+// block (DASP.MaxSegs).
 var daspPanelScratch = par.NewSizedScratch()
-
-// segChunk caps how many segments one DMMAPanel call sweeps (0 = the whole
-// block in one call). Splitting the k-sweep keeps the gathered B panel
-// inside a chosen cache footprint on long blocks; the accumulator carries
-// across chunks, so every chunk size runs the identical ascending-k FMA
-// chain per element and the choice is performance-only — `cubie tune`
-// calibrates it per host.
-var segChunk atomic.Int32
-
-// SetSegChunk sets the DASP segment-chunk size (0 restores the unchunked
-// sweep; negative values clamp to 0) and returns the previous value.
-func SetSegChunk(n int) (prev int) {
-	if n < 0 {
-		n = 0
-	}
-	return int(segChunk.Swap(int32(n)))
-}
-
-// SegChunk reports the active DASP segment-chunk size.
-func SegChunk() int { return int(segChunk.Load()) }
 
 // segTile is the element count of one packed 8×4 (or 4×8) operand tile.
 const segTile = mmu.M * mmu.K
@@ -191,11 +155,9 @@ const segTile = mmu.M * mmu.K
 // operator.
 //
 // The static A operand comes prepacked from the layout (DASP.APanels, built
-// once on the first prestaged apply via DASP.Prestage), and the B gather
-// runs 4-wide off the flat prestaged index slab — the hot loop stages no A
-// bytes at all and allocates nothing but y. CUBIE_NO_PRESTAGE=1 (prestage.SetEnabled(false)) falls back to
-// packing both operands per call from Segments, bit-identical by
-// construction since the slab holds exactly the bytes that staging packed.
+// once on the first apply via DASP.Prestage), and the B gather runs 4-wide
+// off the flat prestaged index slab — the hot loop stages no A bytes at all
+// and allocates nothing but y.
 //
 // Blocks are independent — ToDASP assigns each output row to exactly one
 // block (long rows occupy all eight lanes of a single block) — so the block
@@ -203,83 +165,26 @@ const segTile = mmu.M * mmu.K
 // worker count.
 func ApplyDASP(dasp *sparse.DASP, x []float64) []float64 {
 	y := make([]float64, dasp.Rows)
-	if !prestage.Enabled() {
-		applyDASPStaged(dasp, x, y)
-		return y
-	}
 	dasp.Prestage()
-	chunk := SegChunk()
 	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
 		cT := daspScratch.Get()
 		defer daspScratch.Put(cT)
-		maxB := dasp.MaxSegs
-		if chunk > 0 && chunk < maxB {
-			maxB = chunk
-		}
-		bPanel := daspPanelScratch.Get(maxB * segTile)
+		bPanel := daspPanelScratch.Get(dasp.MaxSegs * segTile)
 		defer daspPanelScratch.Put(bPanel)
 		for bi := lo; bi < hi; bi++ {
-			blk := &dasp.Blocks[bi]
 			for i := range cT {
 				cT[i] = 0
 			}
+			// Gather the B panel 4-wide off the flat index slab, then run the
+			// whole block's k-sweep fused with the prepacked A tiles.
 			segs := int(dasp.SegOff[bi+1] - dasp.SegOff[bi])
-			base := int(dasp.SegOff[bi]) * segTile
-			// Sweep the prestaged segments in chunks: gather the B panel
-			// 4-wide off the flat index slab, run the chunk fused with the
-			// prepacked A tiles. The C tile accumulates across chunks, so
-			// the per-element FMA chain is the full ascending-k sweep for
-			// every chunk size.
-			for s0 := 0; s0 < segs; {
-				n := segs - s0
-				if chunk > 0 && n > chunk {
-					n = chunk
-				}
-				off := base + s0*segTile
-				tensor.Gather4(bPanel[:n*segTile], x, dasp.BCols[off:])
-				mmu.DMMAPanel(cT, dasp.APanels[off:], bPanel, n)
-				s0 += n
-			}
-			finishDASPBlock(blk, cT, y)
+			off := int(dasp.SegOff[bi]) * segTile
+			tensor.Gather4(bPanel[:segs*segTile], x, dasp.BCols[off:])
+			mmu.DMMAPanel(cT, dasp.APanels[off:], bPanel, segs)
+			finishDASPBlock(&dasp.Blocks[bi], cT, y)
 		}
 	})
 	return y
-}
-
-// applyDASPStaged is the CUBIE_NO_PRESTAGE reference route: the per-call
-// staging loop the kernel ran before the prestaged slabs, packing both the
-// A tiles and the gathered B tiles from Segments on every apply. The panel
-// sizing bound comes from DASP.MaxSegs (computed once in ToDASP) rather
-// than a per-apply rescan of the blocks.
-func applyDASPStaged(dasp *sparse.DASP, x, y []float64) {
-	par.ForTiles(len(dasp.Blocks), func(lo, hi int) {
-		cT := daspScratch.Get()
-		defer daspScratch.Put(cT)
-		maxSegs := dasp.MaxSegs
-		panels := daspPanelScratch.Get(maxSegs * (mmu.M*mmu.K + mmu.K*mmu.N))
-		defer daspPanelScratch.Put(panels)
-		aPanel := panels[0 : maxSegs*mmu.M*mmu.K]
-		bPanel := panels[maxSegs*mmu.M*mmu.K:]
-		for bi := lo; bi < hi; bi++ {
-			blk := &dasp.Blocks[bi]
-			for i := range cT {
-				cT[i] = 0
-			}
-			for si := range blk.Segments {
-				seg := &blk.Segments[si]
-				aT := aPanel[si*mmu.M*mmu.K:]
-				bT := bPanel[si*mmu.K*mmu.N:]
-				for l := 0; l < mmu.M; l++ {
-					for k := 0; k < mmu.K; k++ {
-						aT[l*mmu.K+k] = seg.Vals[l][k]
-						bT[k*mmu.N+l] = x[seg.Cols[l][k]]
-					}
-				}
-			}
-			mmu.DMMAPanel(cT, aPanel, bPanel, len(blk.Segments))
-			finishDASPBlock(blk, cT, y)
-		}
-	})
 }
 
 // finishDASPBlock extracts the block's diagonal results into y: long-row

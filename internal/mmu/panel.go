@@ -61,34 +61,6 @@ func SetPanelEnabled(on bool) (was bool) {
 // PanelEnabled reports whether the fused panel fast paths are active.
 func PanelEnabled() bool { return !panelDisabled.Load() }
 
-// panelBlock is the register-blocking depth of the DMMAPanel k-sweep: how
-// many consecutive k-tiles each blocked micro-kernel pass fuses (1 = one
-// tile per pass, 2 = the pair kernel, 4 = the quad kernel). All depths run
-// the identical ascending-k FMA chain per output element, so the choice is
-// performance-only — `cubie tune` calibrates it per host.
-var panelBlock atomic.Int32
-
-func init() { panelBlock.Store(2) }
-
-// SetPanelBlock sets the DMMAPanel register-blocking depth and returns the
-// previous one. Values snap to the supported depths: ≤1 → 1, ≥4 → 4,
-// otherwise 2. Results are bit-identical at every depth (pinned by
-// TestDMMAPanelBlockDepths).
-func SetPanelBlock(depth int) (prev int) {
-	switch {
-	case depth <= 1:
-		depth = 1
-	case depth >= 4:
-		depth = 4
-	default:
-		depth = 2
-	}
-	return int(panelBlock.Swap(int32(depth)))
-}
-
-// PanelBlock reports the active DMMAPanel register-blocking depth.
-func PanelBlock() int { return int(panelBlock.Load()) }
-
 // dmmaTileInto executes one 8×8×4 MMA step on array pointers with the
 // accumulator resident: acc(8×8) += a(8×4)·b(4×8). Each output element's
 // update is the ascending-k FMA chain of DMMATile — same operations, same
@@ -172,44 +144,6 @@ func dmmaTileQuadInto(cE, cO *[M * N]float64,
 	}
 }
 
-// dmmaTileQuad1Into executes four consecutive k-tiles into ONE resident
-// accumulator: acc += a0·b0 + a1·b1 + a2·b2 + a3·b3, with each output
-// element's update the 16-FMA ascending-k chain of calling dmmaTileInto four
-// times — same operations, same order, so the deeper blocking is
-// bit-invisible while touching each accumulator row once per four tiles.
-// (dmmaTileQuadInto above is the double-buffered variant with two
-// accumulators; this one serves single-accumulator DMMAPanel sweeps at
-// blocking depth 4.)
-func dmmaTileQuad1Into(acc *[M * N]float64,
-	a *[4 * M * K]float64, b *[4 * K * N]float64) {
-	for i := 0; i < M; i++ {
-		p0, p1, p2, p3 := a[i*K], a[i*K+1], a[i*K+2], a[i*K+3]
-		q0, q1, q2, q3 := a[M*K+i*K], a[M*K+i*K+1], a[M*K+i*K+2], a[M*K+i*K+3]
-		f0, f1, f2, f3 := a[2*M*K+i*K], a[2*M*K+i*K+1], a[2*M*K+i*K+2], a[2*M*K+i*K+3]
-		g0, g1, g2, g3 := a[3*M*K+i*K], a[3*M*K+i*K+1], a[3*M*K+i*K+2], a[3*M*K+i*K+3]
-		for j := 0; j < N; j++ {
-			v := acc[i*N+j]
-			v = math.FMA(p0, b[j], v)
-			v = math.FMA(p1, b[N+j], v)
-			v = math.FMA(p2, b[2*N+j], v)
-			v = math.FMA(p3, b[3*N+j], v)
-			v = math.FMA(q0, b[K*N+j], v)
-			v = math.FMA(q1, b[K*N+N+j], v)
-			v = math.FMA(q2, b[K*N+2*N+j], v)
-			v = math.FMA(q3, b[K*N+3*N+j], v)
-			v = math.FMA(f0, b[2*K*N+j], v)
-			v = math.FMA(f1, b[2*K*N+N+j], v)
-			v = math.FMA(f2, b[2*K*N+2*N+j], v)
-			v = math.FMA(f3, b[2*K*N+3*N+j], v)
-			v = math.FMA(g0, b[3*K*N+j], v)
-			v = math.FMA(g1, b[3*K*N+N+j], v)
-			v = math.FMA(g2, b[3*K*N+2*N+j], v)
-			v = math.FMA(g3, b[3*K*N+3*N+j], v)
-			acc[i*N+j] = v
-		}
-	}
-}
-
 // checkPanels panics early (with a clearer message than the raw conversion)
 // when the operand panels cannot cover kTiles tiles.
 func checkPanels(aPanel, bPanel []float64, kTiles int) {
@@ -248,30 +182,18 @@ func DMMAPanel(c, aPanel, bPanel []float64, kTiles int) {
 		// Single-tile sweep: skip the local copy, run straight on c.
 		dmmaTileInto(cc, (*[M * K]float64)(aPanel), (*[K * N]float64)(bPanel))
 	} else {
-		// The blocking depth (SetPanelBlock) picks how many k-tiles each
-		// micro-kernel pass fuses; the remainder cascades through the
-		// shallower kernels. Per element the FMA chain is ascending-k at
-		// every depth, so the choice is bit-invisible.
-		depth := int(panelBlock.Load())
+		// Register-blocked two k-tiles per pass; an odd final tile runs
+		// alone. Per element the FMA chain is ascending-k either way.
 		local := *cc
 		kt := 0
-		if depth >= 4 {
-			for ; kt+3 < kTiles; kt += 4 {
-				dmmaTileQuad1Into(&local,
-					(*[4 * M * K]float64)(aPanel[kt*M*K:]),
-					(*[4 * K * N]float64)(bPanel[kt*K*N:]))
-			}
+		for ; kt+1 < kTiles; kt += 2 {
+			dmmaTilePairInto(&local,
+				(*[M * K]float64)(aPanel[kt*M*K:]),
+				(*[M * K]float64)(aPanel[(kt+1)*M*K:]),
+				(*[K * N]float64)(bPanel[kt*K*N:]),
+				(*[K * N]float64)(bPanel[(kt+1)*K*N:]))
 		}
-		if depth >= 2 {
-			for ; kt+1 < kTiles; kt += 2 {
-				dmmaTilePairInto(&local,
-					(*[M * K]float64)(aPanel[kt*M*K:]),
-					(*[M * K]float64)(aPanel[(kt+1)*M*K:]),
-					(*[K * N]float64)(bPanel[kt*K*N:]),
-					(*[K * N]float64)(bPanel[(kt+1)*K*N:]))
-			}
-		}
-		for ; kt < kTiles; kt++ {
+		if kt < kTiles {
 			dmmaTileInto(&local,
 				(*[M * K]float64)(aPanel[kt*M*K:]),
 				(*[K * N]float64)(bPanel[kt*K*N:]))
@@ -385,7 +307,7 @@ func DMMABatch(cPanel, aPanel, bPanel []float64, n int) {
 // the panel-layout shim for operands that are not tensor.Matrix values
 // (stencil line gathers, the 8×8 scan/reduction stages). The pack itself is
 // tensor.PackARows, the single stride-aware bulk helper shared with
-// Matrix.PackAPanel and the packed-panel cache.
+// Matrix.PackAPanel.
 func PackA(dst, src []float64, stride, kTiles int) {
 	if stride < kTiles*K {
 		panic("mmu: PackA stride shorter than packed columns")

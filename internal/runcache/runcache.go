@@ -196,14 +196,13 @@ func (c *Cache) Dir() string {
 	return c.dir
 }
 
-// knobs are the behavior-changing environment variables folded into the
-// fingerprint. CUBIE_WORKERS and CUBIE_CACHE itself are deliberately
-// absent: neither changes any computed result. CUBIE_SPGEMM_DENSE,
-// CUBIE_NO_PACKCACHE, and CUBIE_NO_PRESTAGE are included on the same
-// conservative policy as CUBIE_NO_PANEL — all routes are proven
-// bit-identical, but execution-path knobs miss cleanly rather than trusting
-// the proof.
-var knobs = []string{"CUBIE_NO_PANEL", "CUBIE_NO_PACKCACHE", "CUBIE_NO_PRESTAGE", "CUBIE_SPGEMM_DENSE"}
+// knobs are the execution-path environment variables folded into the
+// fingerprint. CUBIE_NO_PANEL selects the tile-at-a-time reference route;
+// it is proven bit-identical to the fused panels, but the cache misses
+// cleanly across the switch rather than trusting the proof. CUBIE_WORKERS
+// and CUBIE_CACHE itself are deliberately absent: neither changes any
+// computed result.
+var knobs = []string{"CUBIE_NO_PANEL"}
 
 var (
 	fpOnce sync.Once

@@ -3,7 +3,7 @@ package sparse
 import (
 	"sync"
 
-	"repro/internal/prestage"
+	"repro/internal/metrics"
 )
 
 // DASP row-group layout (Lu & Liu, SC '23): rows are classified by nonzero
@@ -79,11 +79,11 @@ type DASP struct {
 	// offset 32·SegOff[bi] in both slabs below. Built by Prestage.
 	SegOff []int32
 	// APanels is the prestaged static A operand: every block's segments as
-	// consecutive row-major 8×4 MMA tiles, exactly the bytes the per-call
-	// staging packed from Segments[si].Vals — built once by Prestage (lazily,
-	// on the first prestaged apply) so the SpMV hot loop only gathers the B
-	// side, while layout-only consumers (padding ablations, utilization
-	// metrics) never pay for the slabs.
+	// consecutive row-major 8×4 MMA tiles (the flatten of
+	// Segments[si].Vals) — built once by Prestage (lazily, on the first
+	// apply) so the SpMV hot loop only gathers the B side, while
+	// layout-only consumers (padding ablations, utilization metrics) never
+	// pay for the slabs.
 	APanels []float64
 	// BCols is the B-side gather index slab in packed B-tile layout:
 	// BCols[32·(SegOff[bi]+si) + k·8 + l] = Segments[si].Cols[l][k], so the
@@ -91,6 +91,23 @@ type DASP struct {
 	BCols []int32
 
 	slabOnce sync.Once
+}
+
+// Prestaged-slab metrics (documented in docs/OBSERVABILITY.md). The DASP
+// builder below and the SpGEMM pair-slab builder each count every slab they
+// emit; both slabs are built once per dataset and owned by it, so the
+// counters stay flat across repeated runs.
+var (
+	metSlabs = metrics.NewCounter("cubie_prestage_slabs_total",
+		"Prestaged sparse operand slabs built (DASP A-panel/B-index slabs and SpGEMM pair slabs).")
+	metSlabBytes = metrics.NewCounter("cubie_prestage_bytes_total",
+		"Total bytes of prestaged sparse operand slabs built.")
+)
+
+// CountSlab records one built prestaged operand slab of the given byte size.
+func CountSlab(bytes int) {
+	metSlabs.Inc()
+	metSlabBytes.Add(uint64(bytes))
 }
 
 // ToDASP builds the DASP layout from a CSR matrix. The prestaged operand
@@ -193,17 +210,17 @@ func ToDASP(m *CSR) *DASP {
 }
 
 // Prestage materializes the prestaged operand slabs (SegOff, APanels,
-// BCols), once; subsequent calls are free. ApplyDASP invokes it on the
-// prestaged route, so layout-only consumers never allocate the slabs.
+// BCols), once; subsequent calls are free. ApplyDASP invokes it, so
+// layout-only consumers never allocate the slabs.
 // Safe for concurrent use.
 func (d *DASP) Prestage() { d.slabOnce.Do(d.buildSlabs) }
 
 // buildSlabs emits the prestaged operand slabs from the assembled blocks:
 // the segment offset table, the prepacked A tiles, and the flat B-layout
-// gather indices. The A bytes are exactly what the per-call staging loop
-// packed (aT[l·4+k] = Vals[l][k] is the row-major flatten of the segment),
-// so consuming the slab is bit-invisible; CUBIE_NO_PRESTAGE falls back to
-// packing from Segments and must match bitwise.
+// gather indices. Each A tile is the row-major flatten of its segment
+// (tile[l·4+k] = Vals[l][k]), the operand the tile-at-a-time MMA reads, so
+// consuming the slab is bit-invisible (TestDASPPrestagedSlabs pins the
+// bytes against Segments).
 func (d *DASP) buildSlabs() {
 	d.SegOff = make([]int32, len(d.Blocks)+1)
 	total := 0
@@ -231,7 +248,7 @@ func (d *DASP) buildSlabs() {
 			}
 		}
 	}
-	prestage.CountSlab(len(d.APanels)*8 + len(d.BCols)*4)
+	CountSlab(len(d.APanels)*8 + len(d.BCols)*4)
 }
 
 // InputUtilization returns the fraction of MMA A-operand slots carrying real

@@ -147,8 +147,8 @@ const (
 // PackARows packs the leading 8 rows of a strided row-major source into
 // kTiles consecutive row-major 8×4 MMA A tiles: tile t covers source columns
 // 4t..4t+3. It is the one stride-aware bulk A-pack in the tree — the
-// PackAPanel interior fast path, mmu.PackA, and the packed-panel cache all
-// route through it. The 4-wide array copies compile to register moves rather
+// PackAPanel interior fast path (and through it the GEMM/GEMV case panels)
+// and mmu.PackA both route through it. The 4-wide array copies compile to register moves rather
 // than runtime.memmove calls (the per-row copy() loops it replaced spent
 // ~11% of the numeric-phase profile in memmove dispatch). src must cover
 // (8-1)·stride + 4·kTiles elements; the array conversions panic otherwise.
@@ -198,9 +198,8 @@ func Gather4(dst, src []float64, idx []int32) {
 // source into a strided destination: group r moves from src[r·srcStride:]
 // to dst[r·dstStride:]. Like PackARows, the fixed-size array assignments
 // compile to register moves rather than runtime.memmove calls. It is the
-// strided 4-wide staging primitive of the sparse prestage builders (mBSR
-// 4×4 block rows into paired MMA operand slabs, DASP segment lanes into
-// prepacked A panels). Both slices must cover (rows-1)·stride + 4 elements.
+// strided 4-wide staging primitive of the SpGEMM pair-slab builder (mBSR
+// 4×4 block rows into paired MMA operand slabs). Both slices must cover (rows-1)·stride + 4 elements.
 func Pack4Stride(dst []float64, dstStride int, src []float64, srcStride int, rows int) {
 	for r := 0; r < rows; r++ {
 		*(*[panelK]float64)(dst[r*dstStride:]) = *(*[panelK]float64)(src[r*srcStride:])
